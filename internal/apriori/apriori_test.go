@@ -191,10 +191,11 @@ func TestAnomalyScenario(t *testing.T) {
 		})
 	}
 	ds := itemset.FromRecords(recs)
-	got, err := MineMaximal(t.Context(), ds, Options{MinSupport: 400})
+	all, err := Mine(t.Context(), ds, Options{MinSupport: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := itemset.MaximalOnly(all)
 	if len(got) == 0 {
 		t.Fatal("scan itemset not found")
 	}
@@ -215,10 +216,7 @@ func TestMaximalReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max, err := MineMaximal(t.Context(), ds, Options{MinSupport: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	max := itemset.MaximalOnly(all)
 	if len(max) > len(all) {
 		t.Fatal("maximal set larger than full set")
 	}
@@ -299,8 +297,5 @@ func TestMineCancelled(t *testing.T) {
 	cancel()
 	if _, err := Mine(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Mine err = %v, want context.Canceled", err)
-	}
-	if _, err := MineMaximal(ctx, ds, Options{MinSupport: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MineMaximal err = %v, want context.Canceled", err)
 	}
 }

@@ -8,4 +8,10 @@
 // mining correctness: both miners must produce identical itemset/support
 // results on every dataset, a property the test suites of both packages
 // enforce.
+//
+// The package registers its one FP-growth under two names: "fpgrowth",
+// and "fda", which with miner.Options.Prefilter set drops items that fail
+// miner.SignificantItems before building the tree and applies
+// miner.LiftCut to the mined itemsets — the FP-growth-plus-filters shape
+// of Fast Dimensional Analysis.
 package fpgrowth

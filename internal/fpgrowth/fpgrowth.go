@@ -10,25 +10,19 @@ import (
 )
 
 // Options is the shared miner configuration (see miner.Options), so the
-// two built-in miners are interchangeable.
+// built-in miners are interchangeable.
 type Options = miner.Options
 
-// Miner is the registry adapter: package-level Mine/MineMaximal behind
-// the miner.Miner interface. Registered as "fpgrowth".
-type Miner struct{}
-
-// Mine implements miner.Miner.
-func (Miner) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	return Mine(ctx, ds, opts)
-}
-
-// MineMaximal implements miner.Miner.
-func (Miner) MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	return MineMaximal(ctx, ds, opts)
-}
-
+// The one FP-growth serves two registry names: "fpgrowth" mines the full
+// canonical result, and "fda" is the same run with the FDA-style filters
+// of Options.Prefilter applied.
 func init() {
-	miner.MustRegister("fpgrowth", func() miner.Miner { return Miner{} })
+	miner.MustRegister("fpgrowth", func() miner.Miner { return miner.Func(Mine) })
+	miner.MustRegister("fda", func() miner.Miner {
+		return miner.Func(func(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+			return mine(ctx, ds, opts, opts.Prefilter)
+		})
+	})
 }
 
 // node is one FP-tree node.
@@ -74,9 +68,17 @@ func (t *tree) insert(items []itemset.Item, weight uint64) {
 
 // Mine returns all itemsets with support >= opts.MinSupport in the chosen
 // dimension, canonically sorted; the result is element-for-element equal to
-// apriori.Mine on the same input. Cancelling ctx aborts mining between
-// conditional-tree expansions and returns ctx.Err().
+// apriori.Mine on the same input. opts.Prefilter is ignored. Cancelling
+// ctx aborts mining between conditional-tree expansions and returns
+// ctx.Err().
 func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+	return mine(ctx, ds, opts, false)
+}
+
+// mine is FP-growth over ds. With filter set, only items that pass
+// miner.SignificantItems enter the tree, and miner.LiftCut trims the
+// mined sets; the result is then a subset of Mine's with equal supports.
+func mine(ctx context.Context, ds *itemset.Dataset, opts Options, filter bool) ([]itemset.Frequent, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,13 +101,19 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 			support[it] += w
 		}
 	}
+	total := ds.Total(opts.ByPackets)
+	kept := support
+	if filter {
+		kept = miner.SignificantItems(support, total, miner.Significance)
+	}
 
-	// Global item order: descending support, ties by item value, so that
-	// every transaction inserts items in one canonical order.
-	order := make(map[itemset.Item]int, len(support))
+	// Global item order over the kept frequent items: descending support,
+	// ties by item value, so that every transaction inserts items in one
+	// canonical order and a filtered run mines a sub-tree of the full one.
+	order := make(map[itemset.Item]int, len(kept))
 	{
-		items := make([]itemset.Item, 0, len(support))
-		for it, c := range support {
+		items := make([]itemset.Item, 0, len(kept))
+		for it, c := range kept {
 			if c >= opts.MinSupport {
 				items = append(items, it)
 			}
@@ -121,7 +129,7 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 		}
 	}
 
-	// Pass 2: build the tree over frequent items only.
+	// Pass 2: build the tree over ordered items only.
 	t := newTree()
 	var path []itemset.Item
 	for i := 0; i < ds.Len(); i++ {
@@ -148,17 +156,11 @@ func Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Fre
 	if err := mineTree(ctx, t, nil, opts.MinSupport, maxLen, &result); err != nil {
 		return nil, err
 	}
+	if filter {
+		result = miner.LiftCut(result, support, total, miner.MinLift)
+	}
 	itemset.SortFrequent(result)
 	return result, nil
-}
-
-// MineMaximal mines and reduces to maximal itemsets.
-func MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
-	all, err := Mine(ctx, ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return itemset.MaximalOnly(all), nil
 }
 
 // mineTree recursively mines t, emitting each frequent item of t extended

@@ -8,7 +8,8 @@
 // the names "apriori" and "fpgrowth", and both are pinned — by property
 // tests over random weighted datasets — to emit byte-identical canonical
 // results, so the extraction engine can swap miners without changing a
-// single reported itemset. External miners plug in through Register and
+// single reported itemset. A third name, "fda", is fpgrowth with the
+// filters of filter.go switched on by Options.Prefilter. External miners plug in through Register and
 // become selectable everywhere a miner name is accepted: core.Options,
 // rootcause.WithMiner, the -miner CLI flags, and rcad's HTTP API.
 package miner

@@ -10,18 +10,6 @@ import (
 	"repro/internal/itemset"
 )
 
-// Defaults inherited by the zero values of the statistical pre-filter
-// knobs (see Options.Significance and Options.MinLift).
-const (
-	// DefaultSignificance is the one-sided z-score an item must clear
-	// against the uniform null to survive the fda pre-filter: two standard
-	// deviations, the conventional ~97.7% one-sided confidence cut.
-	DefaultSignificance = 2.0
-	// DefaultMinLift keeps itemsets at least as frequent as independence
-	// of their items would predict (lift >= 1).
-	DefaultMinLift = 1.0
-)
-
 // Options configures one mining run. It is the shared configuration
 // contract every registered miner honors identically.
 type Options struct {
@@ -35,44 +23,27 @@ type Options struct {
 	// MaxLen bounds the itemset length; 0 means no bound (i.e. up to
 	// flow.NumFeatures).
 	MaxLen int
-	// Prefilter enables per-item statistical pruning in miners that
-	// implement it (the FDA-style "fda" miner drops items whose weight is
-	// indistinguishable from a uniform spread over their feature before
-	// enumerating itemsets, then cuts mined sets below MinLift). Miners
-	// without a pre-filter ignore it. With Prefilter false every
+	// Prefilter enables the FDA-style filters in miners that implement
+	// them (the "fda" miner drops items that fail SignificantItems before
+	// enumerating itemsets, then applies LiftCut to the mined sets).
+	// Miners without them ignore it. With Prefilter false every
 	// registered miner produces identical canonical output for equal
 	// inputs; with it true the fda output is a subset with equal supports.
 	Prefilter bool
-	// Significance is the pre-filter's one-sided z-score threshold: an
-	// item survives when its observed weight exceeds the uniform
-	// expectation over its feature by at least Significance standard
-	// deviations. Zero inherits DefaultSignificance; negative or NaN
-	// values are rejected. Ignored unless Prefilter is set.
-	Significance float64
-	// MinLift is the minimum lift (observed support over the independence
-	// expectation of the itemset's items) a mined itemset must reach.
-	// Zero inherits DefaultMinLift; negative or NaN values are rejected.
-	// Ignored unless Prefilter is set.
-	MinLift float64
 }
 
 // ErrZeroSupport is returned when Options.MinSupport is 0, which would
 // declare every possible itemset frequent.
 var ErrZeroSupport = errors.New("miner: MinSupport must be >= 1")
 
-// Validate normalizes o under the zero-inherits-default contract and
-// rejects explicitly invalid values. Every registered miner calls it at
-// the top of Mine, so the contract holds no matter which surface built
-// the options.
+// Validate rejects explicitly invalid options. Every registered miner
+// calls it at the top of Mine, so the contract holds no matter which
+// surface built the options.
 func (o *Options) Validate() error {
 	if o.MinSupport == 0 {
 		return ErrZeroSupport
 	}
-	positive := func(v float64) bool { return v > 0 }
-	if err := FloatOption("miner", "Significance", &o.Significance, DefaultSignificance, positive, "> 0"); err != nil {
-		return err
-	}
-	return FloatOption("miner", "MinLift", &o.MinLift, DefaultMinLift, positive, "> 0")
+	return nil
 }
 
 // IntOption normalizes one non-negative integer option under the shared
@@ -118,6 +89,24 @@ type Miner interface {
 	// MineMaximal mines and reduces the result to maximal itemsets, the
 	// form the paper reports to operators.
 	MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error)
+}
+
+// Func adapts a mining function to the Miner interface: Mine calls it,
+// MineMaximal reduces its result with itemset.MaximalOnly.
+type Func func(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error)
+
+// Mine implements Miner.
+func (f Func) Mine(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+	return f(ctx, ds, opts)
+}
+
+// MineMaximal implements Miner.
+func (f Func) MineMaximal(ctx context.Context, ds *itemset.Dataset, opts Options) ([]itemset.Frequent, error) {
+	all, err := f(ctx, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	return itemset.MaximalOnly(all), nil
 }
 
 // Factory builds a miner instance. Miners are stateless between runs, so

@@ -15,7 +15,6 @@ import (
 
 	// Built-in miners self-register.
 	_ "repro/internal/apriori"
-	_ "repro/internal/fda"
 	_ "repro/internal/fpgrowth"
 )
 
@@ -185,32 +184,16 @@ func TestCrossMinerProperty(t *testing.T) {
 }
 
 // TestOptionsValidate is the table-driven contract test for the shared
-// option validator: zero inherits the default, explicit invalid values
-// (negative, NaN) error, explicit valid values are kept untouched.
+// option validator: a zero MinSupport is an error, and valid options are
+// kept untouched.
 func TestOptionsValidate(t *testing.T) {
-	nan := math.NaN()
 	cases := []struct {
 		name    string
 		opts    miner.Options
-		wantErr string  // substring; empty = must validate
-		sig     float64 // expected normalized Significance
-		lift    float64 // expected normalized MinLift
+		wantErr string // substring; empty = must validate
 	}{
 		{name: "zero support", opts: miner.Options{}, wantErr: "MinSupport"},
-		{name: "zeros inherit defaults", opts: miner.Options{MinSupport: 1},
-			sig: miner.DefaultSignificance, lift: miner.DefaultMinLift},
-		{name: "explicit values kept", opts: miner.Options{MinSupport: 1, Significance: 3.5, MinLift: 1.2},
-			sig: 3.5, lift: 1.2},
-		{name: "negative significance", opts: miner.Options{MinSupport: 1, Significance: -1},
-			wantErr: "Significance"},
-		{name: "NaN significance", opts: miner.Options{MinSupport: 1, Significance: nan},
-			wantErr: "Significance"},
-		{name: "negative lift", opts: miner.Options{MinSupport: 1, MinLift: -0.5},
-			wantErr: "MinLift"},
-		{name: "NaN lift", opts: miner.Options{MinSupport: 1, MinLift: nan},
-			wantErr: "MinLift"},
-		{name: "tiny positive lift valid", opts: miner.Options{MinSupport: 1, MinLift: 0.01},
-			sig: miner.DefaultSignificance, lift: 0.01},
+		{name: "zeros inherit defaults", opts: miner.Options{MinSupport: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,9 +208,8 @@ func TestOptionsValidate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Validate() = %v, want nil", err)
 			}
-			if opts.Significance != tc.sig || opts.MinLift != tc.lift {
-				t.Fatalf("normalized to Significance=%v MinLift=%v, want %v/%v",
-					opts.Significance, opts.MinLift, tc.sig, tc.lift)
+			if opts != tc.opts {
+				t.Fatalf("Validate rewrote %+v to %+v", tc.opts, opts)
 			}
 		})
 	}
@@ -263,11 +245,11 @@ func TestSharedValidators(t *testing.T) {
 	}
 }
 
-// TestPrefilterSubset pins the fda filtering contract: with Prefilter on,
-// its result is a subset of the unfiltered canonical result with
-// identical supports, still in canonical order, and single-feature
-// anomaly concentrations (the shapes extraction feeds it) survive the
-// filter.
+// TestPrefilterSubset pins the fda output exactly: with Prefilter on, an
+// fpgrowth itemset appears in fda's output, with its support and in
+// canonical order, if and only if every item clears the z >= 2
+// significance test and the set's lift is >= 1. Both cuts are recomputed
+// here from single-item ds.Support scans and ds.Total.
 func TestPrefilterSubset(t *testing.T) {
 	m, err := miner.New("fda")
 	if err != nil {
@@ -277,6 +259,7 @@ func TestPrefilterSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var kept, dropped int
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := stats.NewRNG(seed * 104729)
 		ds := randomWeightedDataset(seed+500, 10+rng.Intn(150))
@@ -289,28 +272,58 @@ func TestPrefilterSubset(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Prefilter = true
-		opts.Significance = 0.5 + rng.Float64()*3
-		opts.MinLift = 0.5 + rng.Float64()
 		filtered, err := m.Mine(t.Context(), ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(filtered) > len(full) {
-			t.Fatalf("seed %d: filtered result larger than unfiltered (%d > %d)", seed, len(filtered), len(full))
-		}
-		// Subset with equal supports, order preserved: advance through the
-		// canonical full list and match each filtered row in turn.
-		j := 0
-		for _, fr := range filtered {
-			for j < len(full) && !(full[j].Items.Equal(fr.Items) && full[j].Support == fr.Support) {
-				j++
+
+		total := ds.Total(opts.ByPackets)
+		weight := make(map[itemset.Item]uint64)
+		values := make(map[flow.Feature]int)
+		for i := 0; i < ds.Len(); i++ {
+			for _, it := range ds.Tx(i).Items {
+				if _, seen := weight[it]; !seen {
+					weight[it] = ds.Support(itemset.Set{it}, opts.ByPackets)
+					values[it.Feature()]++
+				}
 			}
-			if j == len(full) {
-				t.Fatalf("seed %d: filtered itemset %v (support %d) not in unfiltered result in canonical order",
-					seed, fr.Items, fr.Support)
-			}
-			j++
 		}
+		significant := func(it itemset.Item) bool {
+			k := values[it.Feature()]
+			if total == 0 || k <= 1 {
+				return true
+			}
+			p0 := 1 / float64(k)
+			z := (float64(weight[it]) - float64(total)*p0) / math.Sqrt(float64(total)*p0*(1-p0))
+			return z >= 2
+		}
+		liftOK := func(fr itemset.Frequent) bool {
+			if total == 0 {
+				return true
+			}
+			expect := 1.0
+			for _, it := range fr.Items {
+				expect *= float64(weight[it]) / float64(total)
+			}
+			return float64(fr.Support)/float64(total)/expect >= 1
+		}
+
+		var want []itemset.Frequent
+		for _, fr := range full {
+			keep := liftOK(fr)
+			for _, it := range fr.Items {
+				keep = keep && significant(it)
+			}
+			if keep {
+				want = append(want, fr)
+			}
+		}
+		kept += len(want)
+		dropped += len(full) - len(want)
+		assertIdentical(t, fmt.Sprintf("seed %d fda vs filtered fpgrowth", seed), want, filtered)
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("battery does not exercise both outcomes: %d kept, %d dropped", kept, dropped)
 	}
 }
 

@@ -315,23 +315,38 @@ func (st *ShardedStore) Close() error {
 // fanShards runs fn once per shard on a bounded worker pool and merges
 // the per-shard errors: nil when every shard succeeded, nil with
 // partial effects when degraded mode ate a minority of failures, and
-// the first failing shard's ShardError otherwise. failed[i] reports
-// whether shard i's result must be treated as missing.
-func (st *ShardedStore) fanShards(ctx context.Context, fn func(ctx context.Context, i int, sh Shard) error) (failed []bool, err error) {
-	ctx, cancel := context.WithCancel(ctx)
+// the ShardError of the first shard to fail otherwise. failed[i]
+// reports whether shard i's result must be treated as missing.
+func (st *ShardedStore) fanShards(parent context.Context, fn func(ctx context.Context, i int, sh Shard) error) (failed []bool, err error) {
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	k := min(st.fanout(), len(st.shards))
 	degraded := st.degraded.Load()
 	sem := make(chan struct{}, k)
 	errs := make([]error, len(st.shards))
-	var wg sync.WaitGroup
+	var (
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
+	)
 	for i, sh := range st.shards {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, sh Shard) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if errs[i] = fn(ctx, i, sh); errs[i] != nil && !degraded {
+			if errs[i] = fn(ctx, i, sh); errs[i] == nil {
+				return
+			}
+			// Blame the first shard to fail in completion order. A
+			// failure seen after the fan-out's own cancel (inner ctx done,
+			// caller's not) is a healthy peer's aborted call, not a cause.
+			mu.Lock()
+			if first == nil && (ctx.Err() == nil || parent.Err() != nil) {
+				first = &ShardError{Shard: sh.Name(), Err: errs[i]}
+			}
+			mu.Unlock()
+			if !degraded {
 				cancel() // fail fast: no point finishing the other shards
 			}
 		}(i, sh)
@@ -339,14 +354,10 @@ func (st *ShardedStore) fanShards(ctx context.Context, fn func(ctx context.Conte
 	wg.Wait()
 	failed = make([]bool, len(st.shards))
 	nfail := 0
-	var first error
 	for i, e := range errs {
 		if e != nil {
 			failed[i] = true
 			nfail++
-			if first == nil {
-				first = &ShardError{Shard: st.shards[i].Name(), Err: e}
-			}
 		}
 	}
 	if nfail == 0 {

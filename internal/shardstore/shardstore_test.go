@@ -451,3 +451,40 @@ func TestMigrateSharded(t *testing.T) {
 		t.Fatalf("post-migrate count (%d,%d,%d) != (%d,%d,%d)", gf, gp, gb, wf, wp, wb)
 	}
 }
+
+// countShard is a Shard whose Count either fails at once or, healthy but
+// slow, blocks until its context is cancelled.
+type countShard struct {
+	Shard
+	name string
+	err  error // nil: block until ctx is done
+}
+
+func (c countShard) Name() string { return c.name }
+
+func (c countShard) Count(ctx context.Context, _ flow.Interval, _ *nffilter.Filter) (uint64, uint64, uint64, error) {
+	if c.err != nil {
+		return 0, 0, 0, c.err
+	}
+	<-ctx.Done()
+	return 0, 0, 0, ctx.Err()
+}
+
+// TestFanShardsBlamesFirstFailure pins the fan-out's error attribution:
+// the healthy shard 0 is cut off by the fail-fast cancel that shard 1's
+// failure triggers, and the ShardError must name shard 1, not the
+// lower-indexed shard whose only error is that cancel.
+func TestFanShardsBlamesFirstFailure(t *testing.T) {
+	dead := errors.New("connection refused")
+	shards := []Shard{countShard{name: "healthy"}, countShard{name: "dead", err: dead}}
+	st, err := NewFromShards(Manifest{Shards: 2, BinSeconds: testBinSec}, shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetParallelism(2)
+	_, _, _, err = st.Count(context.Background(), flow.Interval{Start: 0, End: testBinSec}, nil)
+	var se *ShardError
+	if !errors.As(err, &se) || se.Shard != "dead" || !errors.Is(err, dead) {
+		t.Fatalf("Count error = %v, want the dead shard's ShardError", err)
+	}
+}

@@ -185,9 +185,10 @@ func DetectorNames() []string { return detector.Names() }
 
 // Miner is the pluggable frequent-itemset-mining contract of the
 // extraction engine. The built-ins ("apriori", "fpgrowth", "fda") are
-// pre-registered and produce identical canonical results — except fda
-// when its statistical pre-filter is enabled, which then returns a
-// subset (see docs/mining.md); external miners plug in via
+// pre-registered; apriori and fpgrowth produce identical canonical
+// results, and fda is fpgrowth with the significance pre-filter and lift
+// cut, which the engine always enables, so it returns a subset (see
+// docs/mining.md); external miners plug in via
 // RegisterMiner and are selectable through WithMiner,
 // ExtractionOptions.Miner and the -miner CLI flags.
 type Miner = miner.Miner
