@@ -106,15 +106,28 @@ func TestStreamIngestCountsAndRejects(t *testing.T) {
 	}
 
 	// The census surfaces the stream section with everything accepted.
-	var health struct {
-		Stream *rootcause.StreamStats `json:"stream"`
-	}
-	getJSON(t, srv.URL+"/api/health", &health)
-	if health.Stream == nil {
-		t.Fatal("health has no stream section on a live system")
-	}
-	if health.Stream.Ingested != 3 {
-		t.Fatalf("health stream ingested = %d, want 3", health.Stream.Ingested)
+	// The ingest responses count records handed to the pipeline buffer;
+	// health counts records the worker has appended to the store, so it
+	// catches up asynchronously — but must never overshoot.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var health struct {
+			Stream *rootcause.StreamStats `json:"stream"`
+		}
+		getJSON(t, srv.URL+"/api/health", &health)
+		if health.Stream == nil {
+			t.Fatal("health has no stream section on a live system")
+		}
+		if health.Stream.Ingested > 3 {
+			t.Fatalf("health stream ingested = %d, want 3", health.Stream.Ingested)
+		}
+		if health.Stream.Ingested == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health stream ingested = %d after 5s, want 3", health.Stream.Ingested)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if hs.sseStreams.Load() != 0 {
 		t.Fatalf("sse streams = %d, want 0", hs.sseStreams.Load())

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,6 +112,60 @@ func FuzzDecodeSegment(f *testing.F) {
 		s.Query(ctx, iv, nil, func(*flow.Record) error { return nil })
 		s.Query(ctx, iv, filter, func(*flow.Record) error { return nil })
 		s.Count(ctx, iv, filter)
+	})
+}
+
+// fuzzZoneMapSeeds are sidecar files for bin 1200 (width 300): v1 and
+// v2 summaries of the golden records, a one-record summary (every field
+// nonzero), plus a foreign bin, a clipped tail, a flipped payload byte
+// and an empty file.
+func fuzzZoneMapSeeds() [][]byte {
+	v1, v2, one := newZoneMap(), newZoneMap(), newZoneMap()
+	for _, r := range goldenRecords() {
+		v1.add(&r)
+		v2.add(&r)
+	}
+	one.add(&flow.Record{
+		Start: 1234, Dur: 9, SrcIP: flow.IPFromOctets(10, 1, 2, 3), DstIP: flow.IPFromOctets(192, 0, 2, 7),
+		SrcPort: 4321, DstPort: 80, Proto: flow.ProtoTCP, Flags: 0x12, Router: 3, Packets: 5, Bytes: 400,
+	})
+	v1.format, one.format = FormatV1, FormatV1
+	v2.format, v2.coveredSize = FormatV2, 4096
+	a, b := encodeZoneMap(v1, 1200, 300), encodeZoneMap(v2, 1200, 300)
+	flipped := append([]byte(nil), a...)
+	flipped[50] ^= 0xff
+	return [][]byte{a, b, encodeZoneMap(one, 1200, 300), encodeZoneMap(v1, 1500, 300), a[:idxSize-1], flipped, {}}
+}
+
+// FuzzDecodeZoneMap drives the sidecar decoder over arbitrary bytes, as
+// given and — for inputs of sidecar size — with the checksum restamped,
+// so mutations reach the field checks behind it. No input may panic, and
+// any sidecar the decoder accepts must re-encode to bytes that decode to
+// the same zone map.
+func FuzzDecodeZoneMap(f *testing.F) {
+	for _, s := range fuzzZoneMapSeeds() {
+		f.Add(s)
+	}
+	check := func(t *testing.T, data []byte) {
+		z, err := decodeZoneMap(data, 1200, 300)
+		if err != nil {
+			return
+		}
+		again, err := decodeZoneMap(encodeZoneMap(z, 1200, 300), 1200, 300)
+		if err != nil {
+			t.Fatalf("re-encoded sidecar rejected: %v", err)
+		}
+		if *again != *z {
+			t.Fatalf("re-encoded sidecar decodes differently:\n got %+v\nwant %+v", again, z)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) == idxSize {
+			fixed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(fixed[idxSize-4:], idxChecksum(fixed[:idxSize-4]))
+			check(t, fixed)
+		}
 	})
 }
 

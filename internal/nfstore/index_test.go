@@ -230,34 +230,3 @@ func TestStaleSidecarAfterAppend(t *testing.T) {
 		t.Fatalf("refreshed sidecar should serve Count, stats %+v", st)
 	}
 }
-
-// TestBuildIndexes: the eager bulk build indexes exactly the unindexed
-// segments.
-func TestBuildIndexes(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Create(dir, 300)
-	for b := 0; b < 4; b++ {
-		r := testRecord(uint32(b*300), byte(b), 80, 1)
-		s.Add(&r)
-	}
-	s.Close()
-	paths := sidecarPaths(t, dir)
-	os.Remove(paths[0])
-	os.Remove(paths[1])
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	built, err := s2.BuildIndexes(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != 2 {
-		t.Fatalf("BuildIndexes built %d, want 2", built)
-	}
-	if got := len(sidecarPaths(t, dir)); got != 4 {
-		t.Fatalf("store has %d sidecars after BuildIndexes, want 4", got)
-	}
-}

@@ -48,8 +48,9 @@ type Stats struct {
 	// segments: records in blocks whose columns were decoded — rows in
 	// pruned or aggregated blocks are never decoded and never counted).
 	RecordsScanned uint64 `json:"records_scanned"`
-	// SidecarsBuilt counts zone-map sidecars written (at flush time or
-	// lazily while scanning an unindexed segment).
+	// SidecarsBuilt counts zone-map sidecars written: by a segment's
+	// writer at Flush/Seal/Close, by Migrate, or by the first full scan
+	// of a closed segment without a current sidecar.
 	SidecarsBuilt uint64 `json:"sidecars_built"`
 	// BlocksScanned counts v2 column blocks whose columns were decoded.
 	BlocksScanned uint64 `json:"blocks_scanned"`
@@ -123,12 +124,6 @@ func (s *Store) queryParallelism() int {
 	}
 	return min(runtime.GOMAXPROCS(0), maxAutoParallelism)
 }
-
-// SetZoneMapCacheSize bounds the in-memory cache of decoded zone-map
-// sidecars to n entries (LRU eviction, ~2.2 KB each; n <= 0 restores
-// the default of 4096). Evicted entries only cost a sidecar re-read on
-// their next query — correctness is unaffected.
-func (s *Store) SetZoneMapCacheSize(n int) { s.zmc.setCap(n) }
 
 // SetPruning toggles zone-map segment pruning and lazy sidecar builds
 // (enabled by default). Disabling it forces every overlapping segment to

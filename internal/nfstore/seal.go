@@ -5,7 +5,7 @@ import "fmt"
 // Sealer is the optional streaming interface over a flow store: engines
 // that can finalize one bin at a time implement it, and the live ingest
 // pipeline type-asserts for it instead of widening Engine (the idiom the
-// facade already uses for SetZoneMapCacheSize and SetSegmentFormat).
+// facade already uses for SetSegmentFormat).
 //
 // Seal finalizes the segment of the bin containing t: pending rows are
 // encoded and flushed, the zone-map sidecar is written, the file handle

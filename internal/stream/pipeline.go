@@ -46,7 +46,9 @@ type Config struct {
 // Stats is a point-in-time census of the pipeline, surfaced through the
 // facade and rcad's /api/health.
 type Stats struct {
-	// Ingested counts records accepted and appended to the store.
+	// Ingested counts records the worker has appended to the store. It
+	// trails the records Ingest has accepted into the buffer (what rcad's
+	// ingest response reports) until the worker drains them.
 	Ingested uint64 `json:"ingested"`
 	// Dropped counts TryIngest rejections on a full buffer.
 	Dropped uint64 `json:"dropped"`
