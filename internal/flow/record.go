@@ -3,6 +3,7 @@ package flow
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -34,7 +35,8 @@ func (p Protocol) String() string {
 }
 
 // ParseProtocol parses a protocol mnemonic ("tcp", "udp", "icmp") or a
-// decimal protocol number.
+// decimal protocol number in [0, 255]; the whole string must be one or
+// the other ("17junk", "+17" and " 17" are rejected).
 func ParseProtocol(s string) (Protocol, error) {
 	switch s {
 	case "icmp", "ICMP":
@@ -44,8 +46,8 @@ func ParseProtocol(s string) (Protocol, error) {
 	case "udp", "UDP":
 		return ProtoUDP, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 || n > 255 {
+	n, err := strconv.ParseUint(s, 10, 8)
+	if err != nil {
 		return 0, fmt.Errorf("flow: unknown protocol %q", s)
 	}
 	return Protocol(n), nil

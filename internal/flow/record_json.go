@@ -21,7 +21,7 @@ type recordWire struct {
 	Proto   string `json:"proto"`
 	Flags   uint8  `json:"flags,omitempty"`
 	Router  uint16 `json:"router,omitempty"`
-	Anno    uint8  `json:"anno,omitempty"`
+	Anno    uint16 `json:"anno,omitempty"`
 	Packets uint64 `json:"packets"`
 	Bytes   uint64 `json:"bytes"`
 }
@@ -46,7 +46,7 @@ func (r Record) MarshalJSON() ([]byte, error) {
 		Proto:   proto,
 		Flags:   r.Flags,
 		Router:  r.Router,
-		Anno:    uint8(r.Anno),
+		Anno:    uint16(r.Anno),
 		Packets: r.Packets,
 		Bytes:   r.Bytes,
 	})

@@ -171,6 +171,11 @@ func TestParseProtocol(t *testing.T) {
 	}{
 		{"tcp", ProtoTCP, true}, {"UDP", ProtoUDP, true}, {"icmp", ProtoICMP, true},
 		{"47", Protocol(47), true}, {"256", 0, false}, {"bogus", 0, false},
+		{"0", 0, true}, {"255", Protocol(255), true}, {"017", ProtoUDP, true},
+		{"17junk", 0, false}, {"17 ", 0, false}, {" 17", 0, false},
+		{"+17", 0, false}, {"-1", 0, false}, {"-0", 0, false},
+		{"", 0, false}, {"0x11", 0, false}, {"1_7", 0, false},
+		{"99999999999999999999", 0, false}, {"Tcp", 0, false},
 	} {
 		got, err := ParseProtocol(c.in)
 		if (err == nil) != c.ok || (c.ok && got != c.want) {

@@ -91,11 +91,15 @@ func weightColumns(w Weight) nffilter.ColumnSet {
 }
 
 // TopN aggregates matching records by a single traffic feature and returns
-// the k heaviest values — nfdump's "-s" statistic, which the paper's GUI
-// surfaces next to extracted itemsets. The scan runs through the pruned,
-// parallel query engine with the projection narrowed to the feature and
-// weight columns; unlike Count and Summaries it cannot be answered from
-// sidecars alone, because zone maps keep no per-value histograms.
+// the k heaviest values (k <= 0: every value) — nfdump's "-s" statistic,
+// which the paper's GUI surfaces next to extracted itemsets. The scan runs
+// through the pruned, order-free fold executor with the projection
+// narrowed to the feature and weight columns: each worker counts into its
+// own map, and the maps are merged after the join. Rows sort by count
+// descending, then value ascending — a total order, so the result does
+// not depend on which worker saw which segment. Unlike Count and
+// Summaries it cannot be answered from sidecars alone, because zone maps
+// keep no per-value histograms.
 func (s *Store) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Filter, feat flow.Feature, weight Weight, k int) ([]KeyCount, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -105,13 +109,23 @@ func (s *Store) TopN(ctx context.Context, iv flow.Interval, filter *nffilter.Fil
 		return nil, err
 	}
 	opts := scanOpts{iv: iv, filter: filter, proj: featColumn(feat) | weightColumns(weight)}
-	acc := make(map[uint32]uint64)
-	err = s.execPlan(ctx, plan, opts, func(r *flow.Record) error {
-		acc[feat.Value(r)] += weight.Of(r)
-		return nil
+	var parts []map[uint32]uint64
+	err = s.execFold(ctx, plan, opts, func() func(*flow.Record) error {
+		part := make(map[uint32]uint64)
+		parts = append(parts, part)
+		return func(r *flow.Record) error {
+			part[feat.Value(r)] += weight.Of(r)
+			return nil
+		}
 	})
 	if err != nil {
 		return nil, err
+	}
+	acc := parts[0]
+	for _, part := range parts[1:] {
+		for v, c := range part {
+			acc[v] += c
+		}
 	}
 	rows := make([]KeyCount, 0, len(acc))
 	for v, c := range acc {

@@ -3,6 +3,7 @@ package nfstore
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/flow"
@@ -16,6 +17,10 @@ import (
 // are merged back in deterministic bin order. The callback contract is
 // identical to a serial scan: records arrive in bin order, file order
 // within a bin, through a reused *flow.Record.
+//
+// Order-free aggregations (Count, TopN) skip the ordered merge: execFold
+// hands each worker its own sink and the caller combines the workers'
+// partials after the join.
 
 // queryBatchSize is how many matched records a parallel segment worker
 // accumulates before handing them to the merger. It is kept below
@@ -275,6 +280,58 @@ func (s *Store) execParallel(ctx context.Context, k int, plan []segPlan, opts sc
 		}
 	}
 	return nil
+}
+
+// execFold scans the planned segments for an order-free aggregation. Up
+// to queryParallelism() workers take segments from a shared cursor and
+// feed their matches straight to their own sink — no record is copied,
+// batched or merged, and records reach the sinks in no particular order
+// across segments. newSink runs on the caller's goroutine, at least once
+// and once per worker before any starts, so each call can register a
+// partial the caller combines after execFold returns. With one worker it
+// is the serial scan. It returns only after every worker has exited; on
+// failure it reports the first error in completion order, ignoring
+// errors caused only by its own cancel of the other workers.
+func (s *Store) execFold(ctx context.Context, plan []segPlan, opts scanOpts, newSink func() func(*flow.Record) error) error {
+	k := min(s.queryParallelism(), len(plan))
+	if k <= 1 {
+		return s.execSerial(ctx, plan, opts, newSink())
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
+	)
+	for range k {
+		sink := newSink()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(plan)); i = next.Add(1) - 1 {
+				err := ctx.Err()
+				if err == nil {
+					err = s.scanSegment(ctx, plan[i], opts, sink)
+				}
+				if err == nil {
+					continue
+				}
+				// Record, then cancel: a scan aborted by that cancel fails
+				// later and is never the one blamed.
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				cancel()
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // scanSegmentBatches scans one segment and sends matched records to out in

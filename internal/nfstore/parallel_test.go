@@ -1,9 +1,17 @@
 package nfstore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flow"
 	"repro/internal/nffilter"
@@ -177,48 +185,201 @@ func TestQueryPrunedParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestAggregationsEquivalence checks TopN and Summaries against the
-// serial-unpruned engine across random filters.
+// refTopN is TopN computed directly over materialized records.
+func refTopN(recs []flow.Record, feat flow.Feature, w Weight, k int) []KeyCount {
+	acc := make(map[uint32]uint64)
+	for i := range recs {
+		acc[feat.Value(&recs[i])] += w.Of(&recs[i])
+	}
+	rows := make([]KeyCount, 0, len(acc))
+	for v, c := range acc {
+		rows = append(rows, KeyCount{Value: v, Count: c})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Count != rows[j].Count {
+			return rows[i].Count > rows[j].Count
+		}
+		return rows[i].Value < rows[j].Value
+	})
+	if k > 0 && len(rows) > k {
+		rows = rows[:k]
+	}
+	return rows
+}
+
+// TestAggregationsEquivalence checks Count, TopN (top 5 and every key —
+// the full table shows a bad merge of per-worker partials that the top
+// rows can hide) and Summaries at several worker counts, on v1 and v2
+// stores, against the serial unpruned engine across random filters and
+// spans.
 func TestAggregationsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := randFilterStore(t, rng, 3000, 6)
-	iv := flow.Interval{Start: 0, End: 6 * 300}
+	v1, v2 := twinStores(t, rng, 3000, 6)
+	feats := []flow.Feature{flow.FeatSrcIP, flow.FeatDstIP, flow.FeatSrcPort, flow.FeatDstPort, flow.FeatProto}
+	weights := []Weight{ByFlows, ByPackets, ByBytes}
 
-	for trial := 0; trial < 40; trial++ {
-		var f *nffilter.Filter
-		if rng.Intn(6) != 0 {
-			f = nffilter.FromNode(randFilterNode(rng, 2))
-		}
+	for _, tc := range []struct {
+		name string
+		s    *Store
+	}{{"v1", v1}, {"v2", v2}} {
+		s := tc.s
+		for trial := 0; trial < 40; trial++ {
+			var f *nffilter.Filter
+			if rng.Intn(6) != 0 {
+				f = nffilter.FromNode(randFilterNode(rng, 2))
+			}
+			iv := flow.Interval{Start: 0, End: 6 * 300}
+			if trial%2 == 1 {
+				lo := uint32(rng.Intn(6 * 300))
+				iv = flow.Interval{Start: lo, End: lo + uint32(rng.Intn(4*300))}
+			}
+			feat, w := feats[trial%len(feats)], weights[trial%len(weights)]
 
-		s.SetPruning(false)
-		s.SetParallelism(1)
-		wantTop, err := s.TopN(t.Context(), iv, f, flow.FeatDstPort, ByPackets, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSums, err := s.Summaries(t.Context(), iv, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetPruning(true)
-		s.SetParallelism(3)
+			want := collectSerialUnpruned(t, s, iv, f)
+			var wantPk, wantBy uint64
+			for i := range want {
+				wantPk += want[i].Packets
+				wantBy += want[i].Bytes
+			}
+			wantTop5, wantAll := refTopN(want, feat, w, 5), refTopN(want, feat, w, 0)
+			s.SetPruning(false)
+			s.SetParallelism(1)
+			wantSums, err := s.Summaries(t.Context(), iv, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetPruning(true)
 
-		gotTop, err := s.TopN(t.Context(), iv, f, flow.FeatDstPort, ByPackets, 5)
-		if err != nil {
-			t.Fatal(err)
+			for _, k := range []int{1, 2, 3, 8} {
+				s.SetParallelism(k)
+				where := fmt.Sprintf("%s trial %d parallelism %d filter %v iv %v", tc.name, trial, k, f, iv)
+				flows, packets, bytes, err := s.Count(t.Context(), iv, f)
+				if err != nil {
+					t.Fatalf("%s: Count: %v", where, err)
+				}
+				if flows != uint64(len(want)) || packets != wantPk || bytes != wantBy {
+					t.Fatalf("%s: Count = (%d,%d,%d), want (%d,%d,%d)",
+						where, flows, packets, bytes, len(want), wantPk, wantBy)
+				}
+				for _, c := range []struct {
+					k    int
+					want []KeyCount
+				}{{5, wantTop5}, {0, wantAll}} {
+					got, err := s.TopN(t.Context(), iv, f, feat, w, c.k)
+					if err != nil {
+						t.Fatalf("%s: TopN k=%d: %v", where, c.k, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(c.want) {
+						t.Fatalf("%s: TopN(%v, %v, k=%d)\n got %v\nwant %v", where, feat, w, c.k, got, c.want)
+					}
+				}
+				gotSums, err := s.Summaries(t.Context(), iv, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(gotSums) != fmt.Sprint(wantSums) {
+					t.Fatalf("%s: Summaries\n got %v\nwant %v", where, gotSums, wantSums)
+				}
+			}
+			s.SetParallelism(0)
 		}
-		gotSums, err := s.Summaries(t.Context(), iv, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetParallelism(0)
+	}
+}
 
-		if fmt.Sprint(gotTop) != fmt.Sprint(wantTop) {
-			t.Fatalf("trial %d filter %v: TopN\n got %v\nwant %v", trial, f, gotTop, wantTop)
-		}
-		if fmt.Sprint(gotSums) != fmt.Sprint(wantSums) {
-			t.Fatalf("trial %d filter %v: Summaries\n got %v\nwant %v", trial, f, gotSums, wantSums)
-		}
+// TestAggregationFoldErrors pins the fold executor's failure contract on
+// a store with one truncated sealed segment among eight, scanned by four
+// workers: Count and TopN blame that segment's bin (never a healthy
+// segment whose scan the executor cancelled), a context cancelled before
+// or during the workers' scans surfaces as context.Canceled, and no
+// worker outlives the call. (A context cancelled before the call is
+// TestRecordsAndCountPropagateCancellation's case.)
+func TestAggregationFoldErrors(t *testing.T) {
+	const bins, badBin = 8, 5 * 300
+	for _, format := range []uint16{FormatV1, FormatV2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := CreateFormat(dir, 300, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < bins; b++ {
+				for i := 0; i < 3000; i++ {
+					r := flow.Record{
+						Start: uint32(b*300 + i%300), SrcIP: flow.IP(i + 1), DstIP: flow.IP(i%7 + 1),
+						SrcPort: 1, DstPort: 80, Proto: flow.ProtoTCP,
+						Packets: uint64(1 + i%3), Bytes: 100,
+					}
+					if err := s.Add(&r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(s.segPath(badBin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.segPath(badBin), raw[:len(raw)-7], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(s.idxPath(badBin)); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.SetParallelism(4)
+
+			iv := flow.Interval{Start: 0, End: bins * 300}
+			f := nffilter.MustParse("packets > 1") // no pushdown, no pruning
+			goroutines := runtime.NumGoroutine()
+			blamed := fmt.Sprintf("segment %d", badBin)
+			for i := 0; i < 20; i++ {
+				if _, _, _, err := s.Count(t.Context(), iv, f); err == nil || !strings.Contains(err.Error(), blamed) {
+					t.Fatalf("Count err = %v, want one naming %s", err, blamed)
+				}
+				if _, err := s.TopN(t.Context(), iv, f, flow.FeatDstIP, ByPackets, 0); err == nil || !strings.Contains(err.Error(), blamed) {
+					t.Fatalf("TopN err = %v, want one naming %s", err, blamed)
+				}
+			}
+
+			// Cancelled once the workers are committed: after planning,
+			// before any scan starts, so the truncated segment can never
+			// win the race to fail first.
+			plan, err := s.planSegments(iv, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(t.Context())
+			err = s.execFold(ctx, plan, scanOpts{iv: iv, filter: f}, func() func(*flow.Record) error {
+				cancel()
+				return func(*flow.Record) error { return nil }
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("fold cancelled before its scans: err = %v", err)
+			}
+			// Cancelled mid-scan by a sink, over the healthy segments.
+			healthy := slices.DeleteFunc(plan, func(p segPlan) bool { return p.bin == badBin })
+			ctx, cancel = context.WithCancel(t.Context())
+			err = s.execFold(ctx, healthy, scanOpts{iv: iv, filter: f}, func() func(*flow.Record) error {
+				return func(*flow.Record) error { cancel(); return nil }
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("fold cancelled by a sink: err = %v", err)
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > goroutines {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the calls, %d before: a fold worker outlived its call",
+						runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package nfstore
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/flow"
@@ -134,6 +135,38 @@ func BenchmarkStoreCount(b *testing.B) {
 			}
 			if flows == 0 {
 				b.Fatal("filter matched nothing")
+			}
+		}
+	})
+}
+
+// BenchmarkStoreTopN measures the filtered TopN aggregate (nfdump's -s
+// statistic: the heaviest destination addresses by packets), checked
+// against a reference computed once per store from the materialized
+// records, outside the timing.
+func BenchmarkStoreTopN(b *testing.B) {
+	refs := map[*Store][]KeyCount{}
+	benchCases(b, func(b *testing.B, s *Store, f *nffilter.Filter, iv flow.Interval) {
+		want, ok := refs[s]
+		if !ok {
+			recs, err := s.Records(context.Background(), iv, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want = refTopN(recs, flow.FeatDstIP, ByPackets, 10)
+			if len(want) == 0 {
+				b.Fatal("filter matched nothing")
+			}
+			refs[s] = want
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			got, err := s.TopN(context.Background(), iv, f, flow.FeatDstIP, ByPackets, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				b.Fatalf("TopN = %v, want %v", got, want)
 			}
 		}
 	})

@@ -486,10 +486,11 @@ func (s *Store) Count(ctx context.Context, iv flow.Interval, filter *nffilter.Fi
 
 // countPlan answers a volume count over an already-planned segment set:
 // segments whose sidecar proves full coverage are aggregated without
-// scanning, the remainder goes through execPlan. Columnar segments push
-// the same aggregation down another level — fully covered, fully matching
-// blocks contribute their zone-map totals without decoding a row (the agg
-// sink below, accumulated atomically because parallel workers call it).
+// scanning, the remainder goes through execFold with one partial per
+// worker, summed after the join. Columnar segments push the same
+// aggregation down another level — fully covered, fully matching blocks
+// contribute their zone-map totals without decoding a row (the agg sink
+// below, accumulated atomically because parallel workers call it).
 // Shared by Count and Summaries.
 func (s *Store) countPlan(ctx context.Context, plan []segPlan, iv flow.Interval, filter *nffilter.Filter) (flows, packets, bytes uint64, err error) {
 	var root nffilter.Node
@@ -518,16 +519,33 @@ func (s *Store) countPlan(ctx context.Context, plan []segPlan, iv flow.Interval,
 			aBytes.Add(b)
 		},
 	}
-	err = s.execPlan(ctx, scan, opts, func(r *flow.Record) error {
-		flows++
-		packets += r.Packets
-		bytes += r.Bytes
-		return nil
+	var parts []*countPartial
+	err = s.execFold(ctx, scan, opts, func() func(*flow.Record) error {
+		part := new(countPartial)
+		parts = append(parts, part)
+		return func(r *flow.Record) error {
+			part.flows++
+			part.packets += r.Packets
+			part.bytes += r.Bytes
+			return nil
+		}
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	for _, part := range parts {
+		flows += part.flows
+		packets += part.packets
+		bytes += part.bytes
+	}
 	return flows + aFlows.Load(), packets + aPackets.Load(), bytes + aBytes.Load(), nil
+}
+
+// countPartial is one count worker's running totals, padded to a cache
+// line so workers bumping their own totals per record never share one.
+type countPartial struct {
+	flows, packets, bytes uint64
+	_                     [5]uint64
 }
 
 // Migrate rewrites every segment not already in the target format,
